@@ -101,20 +101,22 @@ bench-wallclock:
 	./bin/ubft-bench -transport=net -warmup 300ms -duration 1s -depth 4 -json BENCH_wallclock.json
 	./bin/ubft-bench -transport=net -chaos -warmup 300ms -duration 3s -depth 4
 
-# Profile-guided optimization round trip: run the wall-clock bench with CPU
-# profiling on every node process and the client, merge the profiles into
-# cmd/ubft-bench/default.pgo (go build picks that file up automatically),
-# rebuild, and re-run reporting the PGO-on vs PGO-off delta
+# Profile-guided optimization round trip: build with PGO off, run the
+# wall-clock bench with CPU profiling on every node process and the client,
+# merge the profiles into bin/pgo/default.pgo, rebuild with that profile,
+# and re-run reporting the PGO-on vs PGO-off delta
 # (BENCH_wallclock_pgo.json, kops/p50 deltas vs BENCH_wallclock_nopgo.json).
+# The round trip writes only under bin/ and BENCH_*.json: it never touches
+# the committed cmd/ubft-bench/default.pgo that a plain `go build` picks up.
+# Refreshing that profile is a deliberate step after a pgo run:
+#   cp bin/pgo/default.pgo cmd/ubft-bench/default.pgo
 pgo:
-	@mkdir -p bin
-	rm -f cmd/ubft-bench/default.pgo
-	rm -rf bin/pgo-profiles && mkdir -p bin/pgo-profiles
-	$(GO) build -o bin/ubft-bench ./cmd/ubft-bench
+	rm -rf bin/pgo && mkdir -p bin/pgo/profiles
+	$(GO) build -pgo=off -o bin/ubft-bench ./cmd/ubft-bench
 	./bin/ubft-bench -transport=net -warmup 500ms -duration 3s -depth 4 \
-		-profile-dir bin/pgo-profiles -json BENCH_wallclock_nopgo.json
-	$(GO) tool pprof -proto bin/pgo-profiles/*.pprof > cmd/ubft-bench/default.pgo
-	$(GO) build -o bin/ubft-bench ./cmd/ubft-bench
+		-profile-dir bin/pgo/profiles -json BENCH_wallclock_nopgo.json
+	$(GO) tool pprof -proto bin/pgo/profiles/*.pprof > bin/pgo/default.pgo
+	$(GO) build -pgo=bin/pgo/default.pgo -o bin/ubft-bench ./cmd/ubft-bench
 	./bin/ubft-bench -transport=net -warmup 500ms -duration 3s -depth 4 \
 		-compare BENCH_wallclock_nopgo.json -json BENCH_wallclock_pgo.json
 

@@ -45,12 +45,6 @@ const (
 	RMiss   uint8 = 1
 	RBadReq       = StatusBadReq
 	RErr    uint8 = 3
-	// RLocked refuses a request touching a key held by an in-flight
-	// cross-shard transaction when the wait queue is full; normally such
-	// requests park and resume when the transaction resolves.
-	RLocked = StatusLocked
-	// RConflict is a prepare vote of "no".
-	RConflict = StatusConflict
 	// RAborted reports an aborted cross-shard transaction.
 	RAborted = StatusAborted
 )
@@ -59,11 +53,6 @@ const (
 // the key extractor so routing never admits a request the state machine
 // will refuse.
 const rkvMGetMax = 1024
-
-// RPair is one key/value pair of a multi-key write.
-//
-// Deprecated: use the shared Pair type; RPair is a compatibility alias.
-type RPair = Pair
 
 // NewRKV creates an empty store.
 func NewRKV() *RKV {

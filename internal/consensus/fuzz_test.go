@@ -20,11 +20,10 @@ import (
 	"repro/internal/wire"
 )
 
-// clientFuzzRig wires one client against three sink replica nodes (frames
-// are routed but nothing answers), with one ordered request and one fast
-// read already pending so hostile replies can reach the tally paths.
-func clientFuzzRig(t *testing.T) *Client {
-	t.Helper()
+// sinkClient wires one f=1 client against three sink replica nodes 0..2:
+// frames are routed but nothing answers, so a test plays the replicas by
+// handing crafted replies to c.onRPC.
+func sinkClient() (*sim.Engine, *Client) {
 	eng := sim.NewEngine(1)
 	net := simnet.New(eng, simnet.RDMAOptions())
 	repIDs := []ids.ID{0, 1, 2}
@@ -32,10 +31,18 @@ func clientFuzzRig(t *testing.T) *Client {
 		router.New(net.AddNode(id, fmt.Sprintf("sink%d", id)))
 	}
 	crt := router.New(net.AddNode(ids.ID(200), "client"))
-	c := NewClient(crt, repIDs, 1)
-	c.InvokeGroup(0, []byte("w"), func([]byte, sim.Duration) {})           // num 1
-	c.InvokeGroupRead(0, []byte("r"), func([]byte, sim.Duration) {})       // num 2
-	c.InvokeGroupReadStrong(0, []byte("s"), func([]byte, sim.Duration) {}) // num 3
+	return eng, NewClient(crt, repIDs, 1)
+}
+
+// clientFuzzRig is a sinkClient with one ordered request, one fast read and
+// one strong read already pending, so hostile replies can reach the tally
+// paths.
+func clientFuzzRig(t *testing.T) *Client {
+	t.Helper()
+	_, c := sinkClient()
+	c.Submit(Op{Payload: []byte("w")}, func(Reply) {})               // num 1
+	c.Submit(Op{Payload: []byte("r"), Mode: Fast}, func(Reply) {})   // num 2
+	c.Submit(Op{Payload: []byte("s"), Mode: Strong}, func(Reply) {}) // num 3
 	return c
 }
 

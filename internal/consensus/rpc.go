@@ -395,6 +395,71 @@ func (r *Replica) respond(client ids.ID, reqNum uint64, slot Slot, result []byte
 	wire.PutWriter(w)
 }
 
+// Mode selects the quorum rule a submitted request is answered under.
+type Mode uint8
+
+const (
+	// Ordered runs the request through consensus: the client accepts f+1
+	// matching responses for one agreed execution slot.
+	Ordered Mode = iota
+	// Fast is the unordered read: one round trip to all 2f+1 replicas,
+	// accepted on f+1 matching result digests. Unpinned (Op.At == 0) only
+	// replies at versions >= this client's monotonic floor for the group
+	// count; pinned (Op.At > 0) every replica answers as-of exactly that
+	// version from its MVCC store, so the f+1 match attests the value AT
+	// the pin regardless of replica skew. Mismatch, timeout, f+1 refusals
+	// or a transaction-locked key fall back to the ordered path.
+	Fast
+	// Strong is the linearizable read: ALL 2f+1 replicas must agree. Any
+	// write that completed before the read began executed on at least f+1
+	// replicas, so the all-replica quorum includes one that applied it and
+	// the agreed version cannot predate it. Round one samples every
+	// replica unpinned; if they answer at one common version the read is
+	// done in a single round trip, otherwise round two re-reads pinned at
+	// the highest version round one revealed (MVCC apps only). A refusal,
+	// a mismatch beyond round two or a timeout falls back to the ordered
+	// path, which is linearizable by construction.
+	Strong
+)
+
+// Op is one client request.
+type Op struct {
+	Group   int    // replica group the request goes to
+	Payload []byte // application request bytes
+	Mode    Mode
+	// At pins a Fast or Strong read to an exact state version (0 =
+	// unpinned). Ordered requests ignore it.
+	At Slot
+}
+
+// Reply is the quorum-accepted outcome of one Submit.
+type Reply struct {
+	Result []byte
+	// Slot is the state version the result reflects: the version an
+	// accepted read was served at (the pin, for a pinned read), or the
+	// version right after an ordered request's quorum-vouched execution
+	// slot. Frontier is the highest version any reply revealed — the input
+	// for choosing pins; an ordered reply reports its Slot.
+	//
+	// A read that fell back to the ordered path reports the higher of the
+	// group's read floor and the read's frontier as both Slot and
+	// Frontier, so a scatter-gather caller never retries an ordered leg.
+	Slot, Frontier Slot
+	// Crossed reports that the result may have crossed a transaction: for
+	// an accepted read, the OR of the counted replicas' txn-crossed flags
+	// (the shard layer's consistent-cut signal — a clean pinned read
+	// provably did not straddle a cross-shard transaction that committed
+	// before the pin round began); for an ordered reply or a fallback, the
+	// quorum-vouched parked marker (the request waited out a transaction
+	// server-side).
+	Crossed bool
+	// FellBack reports that a Fast or Strong read resolved through the
+	// ordered fallback.
+	FellBack bool
+	// Latency is end to end, from Submit to acceptance (fallback included).
+	Latency sim.Duration
+}
+
 // Client is a uBFT client: it fires unsigned requests at every replica of
 // the target consensus group and accepts a result confirmed by f+1 of them.
 // A client may address several independent groups (the sharded deployment):
@@ -473,7 +538,7 @@ type pendingReq struct {
 	started sim.Time
 	replied uint64              // bitmask of replica indices already counted
 	byRes   map[uint64]resTally // result checksum -> class tally
-	done    func(result []byte, parked bool, latency sim.Duration)
+	done    func(Reply)
 	fired   bool
 }
 
@@ -481,6 +546,8 @@ type pendingReq struct {
 type pendingRead struct {
 	group   int
 	payload []byte
+	// minSlot is the group's monotonic read floor when the read was
+	// submitted (0 for a pinned read): unpinned replies below it are stale.
 	minSlot Slot
 	// at pins the read to an exact state version (0 = unpinned: every
 	// replica answers at its own last-applied state).
@@ -506,7 +573,7 @@ type pendingRead struct {
 	fellBack bool
 	ordNum   uint64 // the ordered request number after fallback
 	timer    sim.Timer
-	done     func(result []byte, slot, frontier Slot, crossed, fellBack bool, latency sim.Duration)
+	done     func(Reply)
 }
 
 // defaultReadTimeout bounds how long a fast read waits for its quorum
@@ -571,33 +638,27 @@ func (c *Client) SetUnsafeQuorumOne(on bool) { c.unsafeQuorumOne = on }
 // read the invariant checker can observe. Never set in production.
 func (c *Client) SetUnsafeNoReadFallback(on bool) { c.unsafeNoReadFallback = on }
 
-// Invoke submits payload to group 0 for replicated execution; done receives
-// the f+1-confirmed result and the end-to-end latency.
+// Submit sends op to every replica of op.Group and calls done exactly once
+// with the quorum-accepted Reply (fast and strong reads that fall back to
+// the ordered path included). The returned request number is the
+// completion handle for Cancel, which is how the cross-shard coordinator
+// withdraws prepares from a group that timed out.
+func (c *Client) Submit(op Op, done func(Reply)) uint64 {
+	if op.Mode == Ordered {
+		return c.submitOrdered(op.Group, op.Payload, done)
+	}
+	return c.startRead(op.Group, op.Payload, op.At, op.Mode == Strong, c.proc.Now(), done)
+}
+
+// Invoke submits payload to group 0 for ordered execution; done receives
+// the f+1-confirmed result and the end-to-end latency. It is the shorthand
+// the single-group drivers and benchmarks share with the baselines' clients.
 func (c *Client) Invoke(payload []byte, done func(result []byte, latency sim.Duration)) uint64 {
-	return c.InvokeGroup(0, payload, done)
+	return c.Submit(Op{Payload: payload}, func(r Reply) { done(r.Result, r.Latency) })
 }
 
-// InvokeGroup submits payload to the given replica group. The returned
-// request number is a per-group completion handle: Cancel(num) abandons the
-// request (its done callback will never fire), which is how the cross-shard
-// coordinator withdraws prepares from a group that timed out.
-func (c *Client) InvokeGroup(group int, payload []byte, done func(result []byte, latency sim.Duration)) uint64 {
-	return c.invokeGroupEx(group, payload, func(result []byte, _ bool, latency sim.Duration) {
-		done(result, latency)
-	})
-}
-
-// InvokeGroupParked is InvokeGroup surfacing the quorum-vouched parked
-// marker: whether the request parked in the transaction wait queue
-// server-side and was answered at lock release (i.e. it crossed a
-// transaction). The shard layer's degraded scatter stage uses it to
-// revalidate sibling legs only behind fallbacks that actually crossed a
-// transaction, not behind every lost packet.
-func (c *Client) InvokeGroupParked(group int, payload []byte, done func(result []byte, parked bool, latency sim.Duration)) uint64 {
-	return c.invokeGroupEx(group, payload, done)
-}
-
-func (c *Client) invokeGroupEx(group int, payload []byte, done func(result []byte, parked bool, latency sim.Duration)) uint64 {
+// submitOrdered is the ordered body behind Submit.
+func (c *Client) submitOrdered(group int, payload []byte, done func(Reply)) uint64 {
 	c.nextNum++
 	num := c.nextNum
 	c.pending[num] = &pendingReq{
@@ -702,8 +763,9 @@ func (c *Client) onResponse(from ids.ID, rd *wire.Reader) {
 		// it: ratchet the read floor so a later fast read by this client
 		// can never observe a version that predates this response
 		// (read-your-writes and monotonic reads across both paths).
-		c.noteVersion(p.group, t.minSlot+1)
-		p.done(result, t.parked, c.proc.Now().Sub(p.started))
+		v := t.minSlot + 1
+		c.noteVersion(p.group, v)
+		p.done(Reply{Result: result, Slot: v, Frontier: v, Crossed: t.parked, Latency: c.proc.Now().Sub(p.started)})
 	}
 }
 
@@ -727,77 +789,15 @@ func (c *Client) noteVersion(group int, v Slot) {
 // Unordered read fast path (client side).
 // ---------------------------------------------------------------------
 
-// InvokeRead submits a read-only request to group 0's unordered fast path:
-// one round trip to all 2f+1 replicas, accepted on f+1 matching result
-// digests at a compatible state version, with a transparent fallback to
-// the ordered Invoke path on mismatch, timeout, refusal or a
-// transaction-locked key. done always fires exactly once with the final
-// result and the end-to-end latency (fallback included).
-func (c *Client) InvokeRead(payload []byte, done func(result []byte, latency sim.Duration)) uint64 {
-	return c.InvokeGroupRead(0, payload, done)
-}
-
-// InvokeGroupRead is InvokeRead addressed at one replica group.
-func (c *Client) InvokeGroupRead(group int, payload []byte, done func(result []byte, latency sim.Duration)) uint64 {
-	return c.InvokeGroupReadAt(group, payload, 0, 0, func(res []byte, _, _ Slot, _, _ bool, lat sim.Duration) {
-		done(res, lat)
-	})
-}
-
-// InvokeReadStrong submits a linearizable read to group 0: see
-// InvokeGroupReadStrong.
-func (c *Client) InvokeReadStrong(payload []byte, done func(result []byte, latency sim.Duration)) uint64 {
-	return c.InvokeGroupReadStrong(0, payload, done)
-}
-
-// InvokeGroupReadStrong is the linearizable strong read: it requires ALL
-// 2f+1 replicas of the group to agree on (result, version). Any write that
-// completed before this read began executed on at least f+1 replicas, so
-// the all-replica quorum necessarily includes one that has applied it —
-// the agreed version cannot predate any completed write. Round one samples
-// every replica unpinned; if they answer at one common version the read is
-// done in a single round trip. Otherwise the replicas are skewed: round
-// two re-reads pinned at the highest version round one revealed, which
-// every correct replica serves once its execution catches up (MVCC apps
-// only). Refusals, mismatches beyond round two, or a timeout fall back to
-// the ordered path, which is linearizable by construction.
-func (c *Client) InvokeGroupReadStrong(group int, payload []byte, done func(result []byte, latency sim.Duration)) uint64 {
-	return c.startRead(group, payload, 0, 0, true, c.proc.Now(),
-		func(res []byte, _, _ Slot, _, _ bool, lat sim.Duration) {
-			done(res, lat)
-		})
-}
-
-// InvokeGroupReadAt is the version-aware fast read the shard layer's
-// snapshot-consistent scatter-gather builds on.
-//
-// With at == 0 the read is unpinned: only replies at state version >=
-// minSlot (and >= this client's monotonic floor for the group) count
-// toward the f+1 quorum. With at > 0 the read is pinned: every replica
-// answers as-of exactly that version from its MVCC store, so the f+1
-// matching digests attest the value AT the pin regardless of replica skew.
-//
-// done additionally receives the version the accepted result was read at,
-// the group frontier (the highest version ANY reply revealed — the input
-// for choosing pins), whether the result may have crossed a transaction —
-// for a pinned quorum the OR of the replicas' txn-crossed flags, for an
-// ordered fallback the quorum-vouched parked marker — and whether the read
-// resolved through the ordered fallback. The crossed flag is the shard
-// layer's consistent-cut signal: a clean (uncrossed) pinned leg provably
-// did not straddle any cross-shard transaction that committed before the
-// pin round began.
-func (c *Client) InvokeGroupReadAt(group int, payload []byte, minSlot, at Slot, done func(result []byte, slot, frontier Slot, crossed, fellBack bool, latency sim.Duration)) uint64 {
-	return c.startRead(group, payload, minSlot, at, false, c.proc.Now(), done)
-}
-
-// startRead fires one unordered read round at every replica of the group.
-func (c *Client) startRead(group int, payload []byte, minSlot, at Slot, strong bool, started sim.Time, done func(result []byte, slot, frontier Slot, crossed, fellBack bool, latency sim.Duration)) uint64 {
+// startRead is the read body behind Submit: it fires one unordered read
+// round at every replica of the group (see Fast and Strong for the
+// acceptance rules).
+func (c *Client) startRead(group int, payload []byte, at Slot, strong bool, started sim.Time, done func(Reply)) uint64 {
 	c.nextNum++
 	num := c.nextNum
+	var minSlot Slot
 	if at == 0 {
-		if f := c.readFloor[group]; f > minSlot {
-			minSlot = f
-		}
+		minSlot = c.readFloor[group]
 	}
 	p := &pendingRead{
 		group:   group,
@@ -906,7 +906,7 @@ func (c *Client) onReadResponse(from ids.ID, rd *wire.Reader) {
 				c.FastReads++
 			}
 			c.noteVersion(p.group, slot)
-			p.done(t.result, slot, p.frontier, t.crossed, false, c.proc.Now().Sub(p.started))
+			p.done(Reply{Result: t.result, Slot: slot, Frontier: p.frontier, Crossed: t.crossed, Latency: c.proc.Now().Sub(p.started)})
 			return
 		}
 	}
@@ -931,7 +931,7 @@ func (c *Client) strongPin(num uint64, p *pendingRead) {
 	}
 	p.timer.Cancel()
 	delete(c.pendingReads, num)
-	c.startRead(p.group, p.payload, 0, p.frontier, true, p.started, p.done)
+	c.startRead(p.group, p.payload, p.frontier, true, p.started, p.done)
 }
 
 // readFallback re-submits a fast read through the ordered path. The
@@ -953,7 +953,7 @@ func (c *Client) readFallback(num uint64, p *pendingRead) {
 	p.fellBack = true
 	p.timer.Cancel()
 	c.ReadFallbacks++
-	p.ordNum = c.invokeGroupEx(p.group, p.payload, func(result []byte, parked bool, _ sim.Duration) {
+	p.ordNum = c.submitOrdered(p.group, p.payload, func(r Reply) {
 		delete(c.pendingReads, num)
 		// The ordered execution ratcheted the floor already; report it as
 		// both slot and frontier so a scatter-gather caller never retries
@@ -962,6 +962,6 @@ func (c *Client) readFallback(num uint64, p *pendingRead) {
 		if p.frontier > v {
 			v = p.frontier
 		}
-		p.done(result, v, v, parked, true, c.proc.Now().Sub(p.started))
+		p.done(Reply{Result: r.Result, Slot: v, Frontier: v, Crossed: r.Crossed, FellBack: true, Latency: c.proc.Now().Sub(p.started)})
 	})
 }

@@ -330,9 +330,6 @@ func (g *Group) Stop() {
 	}
 }
 
-// NextIdentifier returns the identifier the next Broadcast will use.
-func (g *Group) NextIdentifier() uint64 { return g.nextK }
-
 // ResetChannel rewinds this member's receiver-side state for a broadcaster
 // that provably cold-restarted and will number its stream from k=1 again:
 // locks, delivered marks, the LOCKED arrays of every member (their LOCKED

@@ -171,8 +171,9 @@ func (ra *RecoveryAgent) onDirect(from ids.ID, payload []byte) {
 // the locks. Both steps are consensus-ordered and idempotent (Commit and
 // Abort tolerate redelivery), so overlap with a late client retry is safe.
 func (ra *RecoveryAgent) resolve(k stagedKey) {
-	ra.cc.InvokeGroup(int(k.coord), app.EncodeTxnQueryDecision(k.txid), func(res []byte, _ sim.Duration) {
-		commit, ok := app.DecodeTxnQueryDecision(res)
+	query := consensus.Op{Group: int(k.coord), Payload: app.EncodeTxnQueryDecision(k.txid)}
+	ra.cc.Submit(query, func(r consensus.Reply) {
+		commit, ok := app.DecodeTxnQueryDecision(r.Result)
 		if !ok {
 			// The coordinator group refused (non-recoverable app there, or
 			// a malformed reply won the quorum — impossible for correct
@@ -184,7 +185,7 @@ func (ra *RecoveryAgent) resolve(k stagedKey) {
 		if commit {
 			cmd = app.EncodeTxnCommit(k.txid)
 		}
-		ra.cc.InvokeGroup(k.group, cmd, func([]byte, sim.Duration) {
+		ra.cc.Submit(consensus.Op{Group: k.group, Payload: cmd}, func(consensus.Reply) {
 			ra.resolved++
 			if commit {
 				ra.committed++

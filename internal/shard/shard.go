@@ -648,14 +648,16 @@ func (c *Client) Invoke(payload []byte, done func(result []byte, latency sim.Dur
 		if s < 0 || s >= c.shards {
 			return -1, fmt.Errorf("shard: routed to shard %d of %d", s, c.shards)
 		}
+		mode := consensus.Ordered
 		switch {
 		case c.strongReads && c.frag.ReadOnly(payload):
-			c.cc.InvokeGroupReadStrong(s, payload, done)
+			mode = consensus.Strong
 		case c.fastReads && c.frag.ReadOnly(payload):
-			c.cc.InvokeGroupRead(s, payload, done)
-		default:
-			c.cc.InvokeGroup(s, payload, done)
+			mode = consensus.Fast
 		}
+		c.cc.Submit(consensus.Op{Group: s, Payload: payload, Mode: mode}, func(r consensus.Reply) {
+			done(r.Result, r.Latency)
+		})
 		return s, nil
 	}
 	if c.frag == nil {
@@ -708,29 +710,35 @@ func (c *Client) scatterRead(payload []byte, plan *splitPlan, done func(result [
 	}
 	start := c.proc.Now()
 	results := make([][]byte, len(legs))
-	var maxLat sim.Duration
 	remaining := len(legs)
-	var send func(i, attempt int)
-	send = func(i, attempt int) {
-		c.cc.InvokeGroup(plan.shards[i], legs[i], func(res []byte, _ sim.Duration) {
-			if len(res) == 1 && res[0] == app.StatusLocked && attempt < lockedRetryMax {
-				c.proc.After(lockedRetryDelay, func() { send(i, attempt+1) })
-				return
-			}
-			results[i] = res
-			if lat := c.proc.Now().Sub(start); lat > maxLat {
-				maxLat = lat
-			}
+	for i := range legs {
+		c.sendOrderedLeg(plan.shards[i], legs[i], func(r consensus.Reply) {
+			results[i] = r.Result
 			remaining--
 			if remaining == 0 {
-				done(c.frag.Merge(payload, results, plan.legKeys), maxLat)
+				// The last leg to answer is the slowest one.
+				done(c.frag.Merge(payload, results, plan.legKeys), c.proc.Now().Sub(start))
 			}
 		})
 	}
-	for i := range legs {
-		send(i, 0)
-	}
 	return nil
+}
+
+// sendOrderedLeg submits one scatter-gather leg through the ordered path,
+// re-sending it while the group answers StatusLocked (bounded by
+// lockedRetryMax); done receives the final reply.
+func (c *Client) sendOrderedLeg(group int, leg []byte, done func(consensus.Reply)) {
+	var send func(attempt int)
+	send = func(attempt int) {
+		c.cc.Submit(consensus.Op{Group: group, Payload: leg}, func(r consensus.Reply) {
+			if len(r.Result) == 1 && r.Result[0] == app.StatusLocked && attempt < lockedRetryMax {
+				c.proc.After(lockedRetryDelay, func() { send(attempt + 1) })
+				return
+			}
+			done(r)
+		})
+	}
+	send(0)
 }
 
 // snapRetryMax bounds the PINNED rounds of a fast scatter read after the
@@ -749,7 +757,7 @@ const snapRetryMax = 2
 //     reveals each group's frontier — the highest state version any of
 //     its replies carried.
 //   - Each following round re-reads EVERY leg pinned at its group's
-//     frontier (InvokeGroupReadAt with at > 0): replicas answer as-of
+//     frontier (a consensus.Fast read with Op.At set): replicas answer as-of
 //     exactly that version from their version chains, deferring the reply
 //     until they have executed that far, and flag the reply "crossed"
 //     when the leg's keys are transaction-locked or a transaction wrote
@@ -786,13 +794,14 @@ func (c *Client) scatterReadFast(payload []byte, legs [][]byte, plan *splitPlan,
 	remaining := 0
 	var finishRound func()
 	send := func(i int) {
-		c.cc.InvokeGroupReadAt(plan.shards[i], legs[i], 0, pins[i], func(res []byte, slot, frontier consensus.Slot, crossed, fellBack bool, _ sim.Duration) {
-			results[i] = res
-			if frontier > fronts[i] {
-				fronts[i] = frontier
+		op := consensus.Op{Group: plan.shards[i], Payload: legs[i], Mode: consensus.Fast, At: pins[i]}
+		c.cc.Submit(op, func(r consensus.Reply) {
+			results[i] = r.Result
+			if r.Frontier > fronts[i] {
+				fronts[i] = r.Frontier
 			}
-			anyFell = anyFell || fellBack
-			clean[i] = !fellBack && !crossed && (pins[i] > 0 || (slot == 0 && frontier == 0))
+			anyFell = anyFell || r.FellBack
+			clean[i] = !r.FellBack && !r.Crossed && (pins[i] > 0 || (r.Slot == 0 && r.Frontier == 0))
 			remaining--
 			if remaining == 0 {
 				finishRound()
@@ -850,15 +859,10 @@ func (c *Client) scatterReadOrdered(payload []byte, legs [][]byte, plan *splitPl
 	remaining := n
 	revalidated := false
 	var finish func()
-	var send func(i, attempt int)
-	send = func(i, attempt int) {
-		c.cc.InvokeGroupParked(plan.shards[i], legs[i], func(res []byte, p bool, _ sim.Duration) {
-			if len(res) == 1 && res[0] == app.StatusLocked && attempt < lockedRetryMax {
-				c.proc.After(lockedRetryDelay, func() { send(i, attempt+1) })
-				return
-			}
-			results[i] = res
-			parked[i] = parked[i] || p
+	send := func(i int) {
+		c.sendOrderedLeg(plan.shards[i], legs[i], func(r consensus.Reply) {
+			results[i] = r.Result
+			parked[i] = parked[i] || r.Crossed
 			remaining--
 			if remaining == 0 {
 				finish()
@@ -882,7 +886,7 @@ func (c *Client) scatterReadOrdered(payload []byte, legs [][]byte, plan *splitPl
 				if len(redo) > 0 {
 					remaining = len(redo)
 					for _, i := range redo {
-						send(i, 0)
+						send(i)
 					}
 					return
 				}
@@ -891,14 +895,8 @@ func (c *Client) scatterReadOrdered(payload []byte, legs [][]byte, plan *splitPl
 		done(c.frag.Merge(payload, results, plan.legKeys), c.proc.Now().Sub(start))
 	}
 	for i := range legs {
-		send(i, 0)
+		send(i)
 	}
-}
-
-// InvokeShard bypasses routing and submits payload to an explicit shard
-// (workload generators that pre-partition their key streams).
-func (c *Client) InvokeShard(s int, payload []byte, done func(result []byte, latency sim.Duration)) {
-	c.cc.InvokeGroup(s, payload, done)
 }
 
 // Pending reports how many requests await confirmation (bounded-memory

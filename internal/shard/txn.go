@@ -2,6 +2,7 @@ package shard
 
 import (
 	"repro/internal/app"
+	"repro/internal/consensus"
 	"repro/internal/sim"
 )
 
@@ -76,8 +77,8 @@ func (c *Client) beginTx(payload []byte, plan *splitPlan, done func(result []byt
 	coord := uint64(plan.shards[0])
 	for i := range plan.shards {
 		i := i
-		tx.pending[i] = c.cc.InvokeGroup(plan.shards[i], app.EncodeTxnPrepare(tx.txid, coord, frags[i]),
-			func(res []byte, _ sim.Duration) { c.onVote(tx, i, res) })
+		prep := consensus.Op{Group: plan.shards[i], Payload: app.EncodeTxnPrepare(tx.txid, coord, frags[i])}
+		tx.pending[i] = c.cc.Submit(prep, func(r consensus.Reply) { c.onVote(tx, i, r.Result) })
 	}
 	tx.timer = c.proc.After(c.prepTimeout, func() { c.abortTx(tx) })
 	return nil
@@ -193,9 +194,9 @@ func (c *Client) retryFanout(groups []int, payload []byte, done func(allAcked bo
 				continue
 			}
 			i := i
-			nums[i] = c.cc.InvokeGroup(g, payload, func(res []byte, _ sim.Duration) {
+			nums[i] = c.cc.Submit(consensus.Op{Group: g, Payload: payload}, func(r consensus.Reply) {
 				acked[i] = true
-				resps[i] = res
+				resps[i] = r.Result
 				for _, ok := range acked {
 					if !ok {
 						return

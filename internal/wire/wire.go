@@ -143,9 +143,6 @@ func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 // Err returns the first decoding error, or nil.
 func (r *Reader) Err() error { return r.err }
 
-// Remaining returns the number of unread bytes.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
-
 // Done returns nil if the buffer was fully and cleanly consumed.
 func (r *Reader) Done() error {
 	if r.err != nil {
